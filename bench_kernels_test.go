@@ -17,8 +17,11 @@ import (
 
 	"sierra/internal/actions"
 	"sierra/internal/apk"
+	"sierra/internal/callgraph"
 	"sierra/internal/corpus"
+	"sierra/internal/frontend"
 	"sierra/internal/harness"
+	"sierra/internal/ir"
 	"sierra/internal/pointer"
 	"sierra/internal/race"
 	"sierra/internal/shbg"
@@ -196,4 +199,57 @@ func BenchmarkKernelRefutationParallel(b *testing.B) {
 			b.ReportMetric(float64(len(pairs)), "pairs")
 		})
 	}
+}
+
+// nprNews generates the NPRNews Table-2 row, the app whose harness
+// discovery dominated Table-2 analysis time before the class-hierarchy
+// index.
+func nprNews(b *testing.B) *apk.App {
+	b.Helper()
+	row, ok := corpus.RowByName("NPRNews")
+	if !ok {
+		b.Fatal("no NPRNews row")
+	}
+	app, _ := corpus.NamedApp(row)
+	return app
+}
+
+// BenchmarkKernelHarness measures harness generation (listener
+// discovery over a growing CHA, plus the synthetic entrypoints) on
+// NPRNews. Generate adds classes to the program, so each iteration
+// generates a fresh app outside the timer.
+func BenchmarkKernelHarness(b *testing.B) {
+	b.ReportAllocs()
+	var hs []*harness.Harness
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		app := nprNews(b)
+		b.StartTimer()
+		hs = harness.Generate(app)
+	}
+	b.ReportMetric(float64(len(hs)), "harnesses")
+}
+
+// BenchmarkKernelCHA measures building the CHA call graph from every
+// NPRNews activity's lifecycle callbacks.
+func BenchmarkKernelCHA(b *testing.B) {
+	app := nprNews(b)
+	var entries []*ir.Method
+	for _, act := range app.Manifest.Activities {
+		for _, lc := range []string{
+			frontend.OnCreate, frontend.OnStart, frontend.OnResume,
+			frontend.OnPause, frontend.OnStop, frontend.OnRestart, frontend.OnDestroy,
+		} {
+			if m := app.Program.ResolveMethod(act.Class, lc); m != nil {
+				entries = append(entries, m)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var g *callgraph.CHA
+	for i := 0; i < b.N; i++ {
+		g = callgraph.BuildCHA(app.Program, entries)
+	}
+	b.ReportMetric(float64(len(g.ReachableMethods())), "reachable")
 }

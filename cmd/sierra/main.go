@@ -284,6 +284,7 @@ func main() {
 			name string
 			d    time.Duration
 		}{
+			{"harness", res.Timing.Harness},
 			{"cg_pa", res.Timing.CGPA},
 			{"hbg", res.Timing.HBG},
 			{"pairs", res.Timing.Pairs},
@@ -370,8 +371,8 @@ func main() {
 		fmt.Printf("categories     app=%d framework=%d library=%d; ref-races=%d; benign-guard=%.1f%%\n",
 			s.App, s.Framework, s.Library, s.RefRaces, s.BenignPct)
 	}
-	fmt.Printf("time           total %.3fs (CG+PA %.3fs, HBG %.3fs, pairs %.3fs, compare %.3fs, refutation %.3fs)\n",
-		res.Timing.Total.Seconds(), res.Timing.CGPA.Seconds(),
+	fmt.Printf("time           total %.3fs (harness %.3fs, CG+PA %.3fs, HBG %.3fs, pairs %.3fs, compare %.3fs, refutation %.3fs)\n",
+		res.Timing.Total.Seconds(), res.Timing.Harness.Seconds(), res.Timing.CGPA.Seconds(),
 		res.Timing.HBG.Seconds(), res.Timing.Pairs.Seconds(),
 		res.Timing.Compare.Seconds(), res.Timing.Refutation.Seconds())
 

@@ -114,8 +114,8 @@ func TestAnalyzeObsCounters(t *testing.T) {
 // components account for the total (no unattributed stage time).
 func TestAnalyzeTimingPartition(t *testing.T) {
 	res := Analyze(corpus.NewsApp(), Options{CompareContexts: true})
-	sum := res.Timing.CGPA + res.Timing.HBG + res.Timing.Pairs +
-		res.Timing.Compare + res.Timing.Refutation
+	sum := res.Timing.Harness + res.Timing.CGPA + res.Timing.HBG +
+		res.Timing.Pairs + res.Timing.Compare + res.Timing.Refutation
 	if sum > res.Timing.Total {
 		t.Fatalf("components (%v) exceed total (%v)", sum, res.Timing.Total)
 	}
@@ -125,6 +125,9 @@ func TestAnalyzeTimingPartition(t *testing.T) {
 	slack := res.Timing.Total/10 + 10e6
 	if res.Timing.Total-sum > slack {
 		t.Fatalf("unattributed stage time: total %v - components %v > %v", res.Timing.Total, sum, slack)
+	}
+	if res.Timing.Harness <= 0 {
+		t.Fatal("Harness stage not timed")
 	}
 	if res.Timing.Pairs <= 0 {
 		t.Fatal("Pairs stage not timed")

@@ -56,10 +56,12 @@ type Options struct {
 }
 
 // Timing records per-stage wall-clock durations (Table 4's columns).
-// The components partition Total: CGPA + HBG + Pairs + Compare +
-// Refutation accounts for the whole pipeline.
+// The components partition Total: Harness + CGPA + HBG + Pairs +
+// Compare + Refutation accounts for the whole pipeline.
 type Timing struct {
-	// CGPA covers harness generation, call graph and pointer analysis.
+	// Harness covers harness generation, with its discovery call graph.
+	Harness time.Duration
+	// CGPA covers the call graph and pointer analysis.
 	CGPA time.Duration
 	// HBG covers SHBG construction.
 	HBG time.Duration
@@ -158,11 +160,13 @@ func AnalyzeContext(ctx context.Context, app *apk.App, opts Options) *Result {
 	start := time.Now()
 	span := tr.Start("analyze")
 
-	// Stage 1: harness + call graph + pointer analysis (+ actions).
+	// Stage 1: harness, then call graph + pointer analysis (+ actions).
 	t0 := time.Now()
 	sHarness := tr.Start("harness")
 	res.Harnesses = harness.GenerateTraced(app, tr)
 	sHarness.End()
+	res.Timing.Harness = time.Since(t0)
+	t0 = time.Now()
 	sCGPA := tr.Start("cgpa")
 	var reg *actions.Registry
 	var pta *pointer.Result

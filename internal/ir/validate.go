@@ -2,8 +2,8 @@ package ir
 
 import "fmt"
 
-// Validate checks the structural invariants analyses rely on, for every
-// non-framework class:
+// Validate checks the structural invariants analyses rely on. The class
+// hierarchy must be acyclic, and for every non-framework class:
 //
 //   - successor indices are in range;
 //   - an If is the last statement of its block, which has exactly two
@@ -16,6 +16,9 @@ import "fmt"
 // The builder maintains these by construction; Validate guards
 // hand-assembled methods and parsed input.
 func (p *Program) Validate() error {
+	if err := p.checkHierarchy(); err != nil {
+		return err
+	}
 	for _, c := range p.Classes() {
 		if c.Framework {
 			continue

@@ -32,7 +32,7 @@ func zeroTimings(rows []Row) []Row {
 	out := make([]Row, len(rows))
 	copy(out, rows)
 	for i := range out {
-		out[i].CGPA, out[i].HBG, out[i].Pairs = 0, 0, 0
+		out[i].Harness, out[i].CGPA, out[i].HBG, out[i].Pairs = 0, 0, 0, 0
 		out[i].Compare, out[i].Refutation, out[i].Total = 0, 0, 0
 	}
 	return out

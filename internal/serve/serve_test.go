@@ -170,6 +170,27 @@ func TestMalformedAndUnknown(t *testing.T) {
 	}
 }
 
+// TestCyclicHierarchyRejected submits an app whose interfaces form a
+// cycle (which once overflowed the daemon's stack while parsing), then
+// checks the daemon still analyzes a valid app.
+func TestCyclicHierarchyRejected(t *testing.T) {
+	_, base, _ := startServer(t, serve.Config{})
+	cyclic := []byte("app cyc\nactivity Act0\nclass I1 implements I2\nclass I2 implements I1\n" +
+		"class Act0 extends android.app.Activity implements I1\n")
+	code, m := submit(t, base, cyclic)
+	if code != http.StatusBadRequest {
+		t.Fatalf("cyclic submit: status %d body %v, want 400", code, m)
+	}
+	if msg, _ := m["error"].(string); !strings.Contains(msg, "class hierarchy cycle") {
+		t.Errorf("cyclic submit: error %q does not name the cycle", msg)
+	}
+	code, m = submit(t, base, corpus.IncrDemoText(corpus.IncrDemoEdit{}))
+	if code != http.StatusAccepted {
+		t.Fatalf("valid submit after the cyclic one: status %d body %v", code, m)
+	}
+	fetchReport(t, base, waitDone(t, base, m["job_id"].(string)))
+}
+
 // TestConcurrentSubmitDedup: one digest submitted from many clients at
 // once must never analyze twice — every submission is answered with the
 // shared in-flight job or the stored report, and every client ends up
