@@ -17,6 +17,7 @@ import (
 
 	"sierra/internal/actions"
 	"sierra/internal/apk"
+	"sierra/internal/appfile"
 	"sierra/internal/callgraph"
 	"sierra/internal/corpus"
 	"sierra/internal/frontend"
@@ -78,6 +79,39 @@ func BenchmarkKernelPointerDelta(b *testing.B) {
 				actions.AnalyzeSolver(nil, app, hs, pointer.ActionSensitivePolicy{K: 2}, solver, 0, nil)
 			}
 		})
+	}
+}
+
+// BenchmarkKernelPointerUnreached measures the delta points-to fixpoint
+// on MyTracks, whose program is mostly library code no harness reaches
+// (about 1% of its statements): the solver's set-up must cost what the
+// harnesses reach, not what the program text holds. It is the
+// counterpart of the all-reachable synthLargeApp in
+// BenchmarkKernelPointerDelta.
+func BenchmarkKernelPointerUnreached(b *testing.B) {
+	app := namedApp(b, "MyTracks")
+	hs := harness.Generate(app)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		actions.Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
+	}
+}
+
+// BenchmarkKernelParse measures appfile.Parse on MyTracks's canonical
+// .app text (about 214k lines, 4 MB).
+func BenchmarkKernelParse(b *testing.B) {
+	raw, err := appfile.Bytes(namedApp(b, "MyTracks"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := appfile.Parse(raw); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -201,14 +235,12 @@ func BenchmarkKernelRefutationParallel(b *testing.B) {
 	}
 }
 
-// nprNews generates the NPRNews Table-2 row, the app whose harness
-// discovery dominated Table-2 analysis time before the class-hierarchy
-// index.
-func nprNews(b *testing.B) *apk.App {
+// namedApp generates a Table-2 row by name.
+func namedApp(b *testing.B, name string) *apk.App {
 	b.Helper()
-	row, ok := corpus.RowByName("NPRNews")
+	row, ok := corpus.RowByName(name)
 	if !ok {
-		b.Fatal("no NPRNews row")
+		b.Fatalf("no %s row", name)
 	}
 	app, _ := corpus.NamedApp(row)
 	return app
@@ -223,7 +255,7 @@ func BenchmarkKernelHarness(b *testing.B) {
 	var hs []*harness.Harness
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		app := nprNews(b)
+		app := namedApp(b, "NPRNews")
 		b.StartTimer()
 		hs = harness.Generate(app)
 	}
@@ -233,7 +265,7 @@ func BenchmarkKernelHarness(b *testing.B) {
 // BenchmarkKernelCHA measures building the CHA call graph from every
 // NPRNews activity's lifecycle callbacks.
 func BenchmarkKernelCHA(b *testing.B) {
-	app := nprNews(b)
+	app := namedApp(b, "NPRNews")
 	var entries []*ir.Method
 	for _, act := range app.Manifest.Activities {
 		for _, lc := range []string{

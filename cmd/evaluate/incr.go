@@ -78,7 +78,7 @@ func runIncrBench(path string, iters, groups int, quiet bool) error {
 		// window's own work incurs).
 		runtime.GC()
 		t0 := time.Now()
-		capp, err := appfile.Read(bytes.NewReader(editRaw))
+		capp, err := appfile.Parse(editRaw)
 		if err != nil {
 			return err
 		}
@@ -88,7 +88,7 @@ func runIncrBench(path string, iters, groups int, quiet bool) error {
 		coldDoc := serve.RenderReport(editDigest, cres)
 
 		// Baseline (untimed): a fresh warm analysis of the base revision.
-		bapp, err := appfile.Read(bytes.NewReader(baseRaw))
+		bapp, err := appfile.Parse(baseRaw)
 		if err != nil {
 			return err
 		}
@@ -104,7 +104,7 @@ func runIncrBench(path string, iters, groups int, quiet bool) error {
 		// Warm: parse, fingerprint, partial stage reuse.
 		runtime.GC()
 		t1 := time.Now()
-		wapp, err := appfile.Read(bytes.NewReader(editRaw))
+		wapp, err := appfile.Parse(editRaw)
 		if err != nil {
 			return err
 		}

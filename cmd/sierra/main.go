@@ -176,7 +176,17 @@ func main() {
 		os.Exit(code)
 	}
 
-	app, err := loadApp(*appName, *fdroid, *file)
+	// Observability is on whenever someone will look at it (-stats, -v,
+	// or a live -debug-addr scrape); otherwise the pipeline runs with a
+	// nil trace at zero cost. The trace starts before the input is read,
+	// so its parse span sits beside analyze.
+	var tr *obs.Trace
+	if *stats != "" || *verbose || *debugAddr != "" {
+		tr = obs.New("sierra:" + inputName(*appName, *fdroid, *file))
+	}
+	sParse := tr.Start("parse")
+	app, raw, err := loadApp(*appName, *fdroid, *file)
+	sParse.End()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sierra:", err)
 		os.Exit(1)
@@ -188,13 +198,12 @@ func main() {
 	// generation extends the program during analysis.
 	var reportDigest string
 	if *reportJSON != "" {
-		raw, err := os.ReadFile(*file)
-		if *file == "" {
+		if raw == nil {
 			raw, err = appfile.Bytes(app)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sierra: -report-json:", err)
-			os.Exit(1)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "sierra: -report-json:", err)
+				os.Exit(1)
+			}
 		}
 		reportDigest = batch.RawDigest(raw)
 	}
@@ -211,14 +220,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	// Observability is on whenever someone will look at it (-stats, -v,
-	// or a live -debug-addr scrape); otherwise the pipeline runs with a
-	// nil trace at zero cost.
-	var tr *obs.Trace
-	if *stats != "" || *verbose || *debugAddr != "" {
-		tr = obs.New("sierra:" + app.Name)
 	}
 
 	// Flight recorder: the ring exists whenever anyone can look at it
@@ -396,7 +397,8 @@ func main() {
 
 	if *verifyN > 0 {
 		factory := func() (*apk.App, error) {
-			return loadApp(*appName, *fdroid, *file)
+			app, _, err := loadApp(*appName, *fdroid, *file)
+			return app, err
 		}
 		n := *verifyN
 		if n > len(res.Reports) {
@@ -432,30 +434,45 @@ func resolveJobs(n int) int {
 	return n
 }
 
-func loadApp(name string, fdroid int, file string) (*apk.App, error) {
+// loadApp builds the app the input selectors name. For -file it also
+// returns the file's bytes, which key the report digest.
+func loadApp(name string, fdroid int, file string) (*apk.App, []byte, error) {
 	switch {
 	case file != "":
-		f, err := os.Open(file)
+		raw, err := os.ReadFile(file)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		defer f.Close()
-		return appfile.Read(f)
+		app, err := appfile.Parse(raw)
+		return app, raw, err
 	case name != "":
 		row, ok := corpus.RowByName(name)
 		if !ok {
-			return nil, fmt.Errorf("unknown app %q (try -list)", name)
+			return nil, nil, fmt.Errorf("unknown app %q (try -list)", name)
 		}
 		app, _ := corpus.NamedApp(row)
-		return app, nil
+		return app, nil, nil
 	case fdroid >= 0:
 		if fdroid >= corpus.FDroidCount {
-			return nil, fmt.Errorf("fdroid index out of range (0..%d)", corpus.FDroidCount-1)
+			return nil, nil, fmt.Errorf("fdroid index out of range (0..%d)", corpus.FDroidCount-1)
 		}
 		app, _ := corpus.FDroidApp(fdroid)
-		return app, nil
+		return app, nil, nil
 	default:
-		return nil, fmt.Errorf("pick one of -app, -fdroid, -file")
+		return nil, nil, fmt.Errorf("pick one of -app, -fdroid, -file")
+	}
+}
+
+// inputName names the run's input for the trace root, before the app
+// (and so its own name) is loaded.
+func inputName(name string, fdroid int, file string) string {
+	switch {
+	case file != "":
+		return file
+	case name != "":
+		return name
+	default:
+		return fmt.Sprintf("fdroid-%d", fdroid)
 	}
 }
 

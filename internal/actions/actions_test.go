@@ -1,6 +1,8 @@
 package actions
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"sierra/internal/apk"
@@ -375,5 +377,44 @@ func TestHandlerThreadLooperBinding(t *testing.T) {
 	}
 	if work.Looper == ui.Looper {
 		t.Error("distinct loopers must not collide")
+	}
+}
+
+// TestAnalyzeAllocIgnoresUnreachedCode pads NotePad with 100,000
+// statements of library code no harness reaches. The solver's tables
+// are sized by what the harnesses reach, so the padding may not raise
+// Analyze's allocation by more than a fixed margin; tables sized by the
+// program text allocated tens of megabytes more here.
+func TestAnalyzeAllocIgnoresUnreachedCode(t *testing.T) {
+	const margin = 256 << 10
+	measure := func(padStmts int) uint64 {
+		row, _ := corpus.RowByName("NotePad")
+		app, _ := corpus.NamedApp(row)
+		for c := 0; padStmts > 0; c++ {
+			cls := ir.NewClass(fmt.Sprintf("lib.Unreached%d", c), frontend.Object)
+			cls.Library = true
+			for m := 0; m < 10; m++ {
+				b := ir.NewStaticMethodBuilder(fmt.Sprintf("f%d", m), "x")
+				for i := 0; i < 100; i++ {
+					b.BinOp("x", ir.OpAdd, "x", "x")
+				}
+				b.Ret("x")
+				cls.AddMethod(b.Build())
+				padStmts -= 101
+			}
+			app.Program.AddClass(cls)
+		}
+		app.Program.Finalize()
+		hs := harness.Generate(app)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Analyze(app, hs, pointer.ActionSensitivePolicy{K: 2})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base, padded := measure(0), measure(100_000)
+	if padded > base+margin {
+		t.Errorf("Analyze allocated %d KB with 100k unreached statements, %d KB without; want at most %d KB more",
+			padded>>10, base>>10, margin>>10)
 	}
 }

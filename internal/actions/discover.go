@@ -80,8 +80,11 @@ func AnalyzeSolverWarm(ctx context.Context, app *apk.App, hs []*harness.Harness,
 		views[id] = v.Type
 	}
 
+	var size pointer.Size
+	size.Methods, size.Stmts = harness.ReachSize(hs)
 	res, warm := pointer.AnalyzeWarm(pointer.Config{
 		Prog:     app.Program,
+		Size:     size,
 		Policy:   pol,
 		Entries:  reg.Entries(),
 		Seeds:    seeds,

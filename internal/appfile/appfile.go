@@ -37,11 +37,13 @@ package appfile
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"sierra/internal/apk"
 	"sierra/internal/frontend"
@@ -60,9 +62,11 @@ func Write(w io.Writer, app *apk.App) error {
 // streamed app pays it once — so the entire format is emitted with
 // byte appends (strconv.Append* for numbers), never fmt.
 func appendApp(b []byte, app *apk.App) []byte {
-	b = append(b, "app "...)
-	b = append(b, app.Name...)
-	b = append(b, '\n')
+	if app.Name != "" {
+		b = append(b, "app "...)
+		b = append(b, app.Name...)
+		b = append(b, '\n')
+	}
 	if app.Manifest.Package != "" {
 		b = append(b, "package "...)
 		b = append(b, app.Manifest.Package...)
@@ -380,9 +384,27 @@ func appendStmt(b []byte, s ir.Stmt) []byte {
 	}
 }
 
-// Read parses an app file, installs the framework, finalizes the
-// program, and validates the result.
+// Read reads r to the end and parses it (see Parse). io.Copy lets an
+// in-memory reader (bytes.Reader, strings.Reader) hand over its bytes
+// in one write, where io.ReadAll would grow its buffer step by step.
 func Read(r io.Reader) (*apk.App, error) {
+	var buf bytes.Buffer
+	if _, err := io.Copy(&buf, r); err != nil {
+		return nil, err
+	}
+	return Parse(buf.Bytes())
+}
+
+// maxLine is the longest line Parse accepts, in bytes before its
+// newline: the limit of the bufio.Scanner the parser once read through.
+const maxLine = 1<<20 - 1
+
+// Parse parses an app file, installs the framework, finalizes the
+// program, and validates the result. Every string the app keeps is
+// copied out of raw, one copy per directive line, so the parsed app
+// never pins raw: a long-lived app must not keep its whole source text
+// alive through a few names.
+func Parse(raw []byte) (*apk.App, error) {
 	p := ir.NewProgram()
 	frontend.InstallFramework(p)
 	app := &apk.App{Program: p, Layouts: map[string]*apk.Layout{}}
@@ -392,17 +414,33 @@ func Read(r io.Reader) (*apk.App, error) {
 	var curMethod *ir.Method
 	var curBlock *ir.Block
 	var curClassOfMethod string
+	// stmts gathers the current block's statements; endBlock moves them
+	// into the block as one exact-size slice, sparing the garbage of
+	// growing every block's slice by doubling.
+	var stmts []ir.Stmt
+	endBlock := func() {
+		if curBlock != nil && len(stmts) > 0 {
+			curBlock.Stmts = append([]ir.Stmt(nil), stmts...)
+		}
+		stmts = stmts[:0]
+	}
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	var line string
+	var fields [16]string
+	f := fields[:0] // fields of line, reused across lines
+	for lineNo := 1; len(raw) > 0; lineNo++ {
+		l := raw
+		if i := bytes.IndexByte(raw, '\n'); i >= 0 {
+			l, raw = raw[:i], raw[i+1:]
+		} else {
+			raw = nil
+		}
+		if len(l) > maxLine {
+			return nil, fmt.Errorf("appfile: line %d: %w", lineNo, bufio.ErrTooLong)
+		}
+		if line, f = splitLine(l, f); line == "" {
 			continue
 		}
-		f := strings.Fields(line)
 		fail := func(msg string) error {
 			return fmt.Errorf("appfile: line %d: %s: %q", lineNo, msg, line)
 		}
@@ -478,6 +516,9 @@ func Read(r io.Reader) (*apk.App, error) {
 			if err != nil {
 				return nil, fail(err.Error())
 			}
+			if p.Class(c.Name) != nil {
+				return nil, fail("duplicate class")
+			}
 			classes[c.Name] = c
 			p.AddClass(c)
 		case "field":
@@ -490,6 +531,9 @@ func Read(r io.Reader) (*apk.App, error) {
 			c, ok := classes[f[1]]
 			if !ok {
 				return nil, fail("method before class")
+			}
+			if c.Methods[f[2]] != nil {
+				return nil, fail("duplicate method")
 			}
 			m := &ir.Method{Name: f[2]}
 			for i := 3; i < len(f); i++ {
@@ -506,6 +550,7 @@ func Read(r io.Reader) (*apk.App, error) {
 			c.AddMethod(m)
 			curMethod = m
 			curClassOfMethod = c.Name
+			endBlock()
 			curBlock = nil
 		case "block":
 			if curMethod == nil || f[1] != curClassOfMethod || f[2] != curMethod.Name {
@@ -528,6 +573,7 @@ func Read(r io.Reader) (*apk.App, error) {
 				}
 			}
 			curMethod.Blocks = append(curMethod.Blocks, b)
+			endBlock()
 			curBlock = b
 		default:
 			if curBlock == nil {
@@ -537,17 +583,60 @@ func Read(r io.Reader) (*apk.App, error) {
 			if err != nil {
 				return nil, fail(err.Error())
 			}
-			curBlock.Stmts = append(curBlock.Stmts, st)
+			stmts = append(stmts, st)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
+	endBlock()
 	p.Finalize()
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
 	return app, nil
+}
+
+// asciiSpace marks the bytes strings.Fields and strings.TrimSpace treat
+// as space in ASCII text.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// splitLine splits l as strings.Fields(strings.TrimSpace(string(l)))
+// would, into f's backing array. Blank and comment lines yield "" and
+// allocate nothing; any other line is copied into one string, which
+// is returned with its fields as substrings of it. Lines holding a
+// non-ASCII byte take the strings package's Unicode-aware path.
+func splitLine(l []byte, f []string) (string, []string) {
+	f = f[:0]
+	for _, c := range l {
+		if c >= utf8.RuneSelf {
+			t := bytes.TrimSpace(l)
+			if len(t) == 0 || t[0] == '#' {
+				return "", f
+			}
+			line := string(t)
+			return line, append(f, strings.Fields(line)...)
+		}
+	}
+	i, j := 0, len(l)
+	for i < j && asciiSpace[l[i]] {
+		i++
+	}
+	for j > i && asciiSpace[l[j-1]] {
+		j--
+	}
+	if i == j || l[i] == '#' {
+		return "", f
+	}
+	line := string(l[i:j])
+	for k := 0; k < len(line); {
+		start := k
+		for k < len(line) && !asciiSpace[line[k]] {
+			k++
+		}
+		f = append(f, line[start:k])
+		for k < len(line) && asciiSpace[line[k]] {
+			k++
+		}
+	}
+	return line, f
 }
 
 // minArity is the minimum field count per directive and statement —
@@ -620,7 +709,11 @@ func parseStmt(f []string, line string) (ir.Stmt, error) {
 		case "null":
 			return &ir.Const{Dst: f[1], Kind: ir.ConstNull}, nil
 		case "str":
-			s, err := strconv.Unquote(strings.TrimSpace(strings.SplitN(line, " str ", 2)[1]))
+			_, lit, ok := strings.Cut(line, " str ")
+			if !ok {
+				return nil, fmt.Errorf("const str needs a quoted value")
+			}
+			s, err := strconv.Unquote(strings.TrimSpace(lit))
 			if err != nil {
 				return nil, err
 			}

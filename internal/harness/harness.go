@@ -40,6 +40,9 @@ type Harness struct {
 	GUI []*GUISlot
 
 	prog *ir.Program
+	// reached holds the methods the discovery CHA reached from this
+	// activity's callbacks (see ReachSize).
+	reached map[*ir.Method]int
 }
 
 // LifecycleSite is one lifecycle callback invocation in the harness.
@@ -116,6 +119,32 @@ func GenerateTraced(app *apk.App, tr *obs.Trace) []*Harness {
 	return out
 }
 
+// ReachSize counts the distinct methods the harnesses reach (their
+// callbacks' CHA closures plus the harness mains) and those methods'
+// statements: the part of the program the points-to fixpoint starts
+// from, as opposed to all the program text, most of which is unreached
+// library code in a real app.
+func ReachSize(hs []*Harness) (methods, stmts int) {
+	seen := map[*ir.Method]bool{}
+	count := func(m *ir.Method) {
+		if seen[m] {
+			return
+		}
+		seen[m] = true
+		methods++
+		for _, blk := range m.Blocks {
+			stmts += len(blk.Stmts)
+		}
+	}
+	for _, h := range hs {
+		count(h.Method)
+		for m := range h.reached {
+			count(m)
+		}
+	}
+	return methods, stmts
+}
+
 // Stats sums the generated harnesses' lifecycle sites, GUI slots, and
 // synthetic statements (the harness methods' statement count).
 func Stats(hs []*Harness) (lifecycleSites, guiSlots, syntheticStmts int) {
@@ -133,7 +162,7 @@ func Stats(hs []*Harness) (lifecycleSites, guiSlots, syntheticStmts int) {
 func generateOne(app *apk.App, comp apk.Component) *Harness {
 	p := app.Program
 	h := &Harness{Activity: comp.Class, ActivityVar: "act", prog: p}
-	h.GUI = discoverSlots(app, comp)
+	h.GUI, h.reached = discoverSlots(app, comp)
 
 	b := ir.NewMethodBuilder("main")
 	// a = new Activity; onCreate; onStart "1"; onResume "1"
@@ -296,8 +325,9 @@ func (h *Harness) Site(cb string, n int) (LifecycleSite, bool) {
 }
 
 // discoverSlots runs the registration-discovery fixpoint for one
-// activity and returns the GUI slots.
-func discoverSlots(app *apk.App, comp apk.Component) []*GUISlot {
+// activity and returns the GUI slots, with every method the fixpoint
+// reached mapped to its parent slot.
+func discoverSlots(app *apk.App, comp apk.Component) ([]*GUISlot, map[*ir.Method]int) {
 	p := app.Program
 	var slots []*GUISlot
 	seen := map[string]bool{} // dedup key
@@ -399,7 +429,7 @@ func discoverSlots(app *apk.App, comp apk.Component) []*GUISlot {
 			}
 		}
 		if !added {
-			return slots
+			return slots, parent
 		}
 	}
 }

@@ -90,6 +90,9 @@ type Config struct {
 	// Solver picks the fixpoint strategy; the zero value means
 	// SolverDelta. Results are identical either way.
 	Solver Solver
+	// Size estimates how much of the program the fixpoint visits; it
+	// presizes the solver's tables and never changes a result.
+	Size Size
 	// Entries are the initial roots (typically the harness mains).
 	Entries []Entry
 	// Seeds are cross-context copy constraints.
@@ -121,6 +124,14 @@ type Config struct {
 	Obs *obs.Trace
 }
 
+// Size is a working-set estimate: the methods the analysis is expected
+// to reach and their statement count. Callers with harnesses pass what
+// the harness discovery reached (harness.ReachSize); the zero value
+// starts every table small, to grow on demand.
+type Size struct {
+	Methods, Stmts int
+}
+
 // Analyze runs the points-to analysis to fixpoint and returns the result
 // (points-to sets plus the context-sensitive call graph).
 func Analyze(cfg Config) *Result {
@@ -139,21 +150,13 @@ func newAnalyzer(cfg Config) *analyzer {
 	if cfg.MaxPasses == 0 {
 		cfg.MaxPasses = 200
 	}
-	// Size hints scale with program text: context sensitivity multiplies
-	// methods into instances and locals into variable keys, so seeding
-	// the hot maps near their final size avoids the incremental-rehash
-	// churn that otherwise dominates construction.
-	nMethods, nStmts := 0, 0
-	if cfg.Prog != nil {
-		for _, cl := range cfg.Prog.Classes() {
-			for _, m := range cl.Methods {
-				nMethods++
-				for _, b := range m.Blocks {
-					nStmts += len(b.Stmts)
-				}
-			}
-		}
-	}
+	// Size hints scale with the reached code, not the program text (most
+	// of a real app is library code nothing reaches): context
+	// sensitivity multiplies reached methods into instances and their
+	// locals into variable keys, so seeding the hot maps near their
+	// final size avoids the incremental-rehash churn that otherwise
+	// dominates construction.
+	nMethods, nStmts := cfg.Size.Methods, cfg.Size.Stmts
 	in := NewInterner()
 	a := &analyzer{
 		cfg: cfg,
@@ -162,16 +165,14 @@ func newAnalyzer(cfg Config) *analyzer {
 			Policy:    cfg.Policy,
 			in:        in,
 			pts:       make(map[VarKey]ObjSet, nStmts),
-			fpts:      make(map[FieldKey]ObjSet, nMethods/2),
+			fpts:      make(map[FieldKey]ObjSet, nMethods),
 			spts:      make(map[string]ObjSet, 16),
-			instances: make(map[MKey]bool, 3*nMethods/2),
-			callees:   make(map[siteKey][]MKey, nMethods),
+			instances: make(map[MKey]bool, 2*nMethods),
+			callees:   make(map[siteKey][]MKey, 3*nMethods/2),
 		},
-		edgeOf:      make(map[VarKey]*copyEdge, nMethods),
-		byMethod:    make(map[*ir.Method][]MKey, nMethods),
-		calleeSeen:  make(map[calleeEdge]bool, nMethods),
-		hintStmts:   nStmts,
-		hintMethods: nMethods,
+		edgeOf:     make(map[VarKey]*copyEdge, nMethods),
+		byMethod:   make(map[*ir.Method][]MKey, nMethods),
+		calleeSeen: make(map[calleeEdge]bool, 3*nMethods/2),
 	}
 	a.viewFallback = sortedViewObjs(cfg.Views)
 	if cfg.Solver != SolverExhaustive {
@@ -332,9 +333,6 @@ type analyzer struct {
 	// d holds the difference-propagation state; nil under the exhaustive
 	// solver.
 	d *deltaState
-	// hintStmts / hintMethods are the program-text sizes the map size
-	// hints derive from (shared with the delta state's own maps).
-	hintStmts, hintMethods int
 	// stats feeds the pointer.* observability counters.
 	stats struct {
 		iterations     int64 // instance sweep slots visited, summed over passes

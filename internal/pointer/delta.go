@@ -145,25 +145,26 @@ type deltaState struct {
 }
 
 func newDeltaState(a *analyzer) *deltaState {
+	nMethods, nStmts := a.cfg.Size.Methods, a.cfg.Size.Stmts
 	d := &deltaState{
-		stmtsOf:     make(map[*ir.Method][]ir.Stmt, a.hintMethods),
-		eventsOf:    make(map[*ir.Method][]evSite, a.hintMethods),
-		varDeps:     make(map[VarKey]*consumers, a.hintStmts/2),
-		fieldDeps:   make(map[FieldKey]*consumers, a.hintMethods/2),
+		stmtsOf:     make(map[*ir.Method][]ir.Stmt, nMethods),
+		eventsOf:    make(map[*ir.Method][]evSite, nMethods),
+		varDeps:     make(map[VarKey]*consumers, nStmts/2),
+		fieldDeps:   make(map[FieldKey]*consumers, nMethods/2),
 		staticDeps:  make(map[string]*consumers, 16),
-		copyIndex:   make(map[VarKey][]*copyEdge, a.hintMethods),
+		copyIndex:   make(map[VarKey][]*copyEdge, nMethods),
 		evFieldSeen: make(map[evFieldDep]bool),
 		seedSrc:     make(map[seedVar][]int, len(a.cfg.Seeds)),
 		seedByM:     make(map[*ir.Method][]int, len(a.cfg.Seeds)),
 		seedDirty:   make([]bool, len(a.cfg.Seeds)),
 		// Dense statement slots grow with discovered instances (observed
-		// ~1.2× the static statement count); starting near the expected
-		// final size avoids repeated large re-copies of the stmtState
-		// array during the discovery-heavy first pass.
-		stmts:    make([]stmtState, 0, a.hintStmts+a.hintStmts/4),
-		stmtInst: make([]int, 0, a.hintStmts+a.hintStmts/4),
-		instBase: make([]int, 0, 2*a.hintMethods),
-		instLen:  make([]int, 0, 2*a.hintMethods),
+		// 1.2–1.4× the reached statement count); starting near the
+		// expected final size avoids repeated large re-copies of the
+		// stmtState array during the discovery-heavy first pass.
+		stmts:    make([]stmtState, 0, 3*nStmts/2),
+		stmtInst: make([]int, 0, 3*nStmts/2),
+		instBase: make([]int, 0, 2*nMethods),
+		instLen:  make([]int, 0, 2*nMethods),
 	}
 	for i := range a.cfg.Seeds {
 		s := &a.cfg.Seeds[i]

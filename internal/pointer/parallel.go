@@ -103,7 +103,7 @@ func newParState(a *analyzer) *parState {
 	return &parState{
 		a:           a,
 		toks:        newTokenTable(),
-		kindsOf:     make(map[*ir.Method][]uint8, a.hintMethods),
+		kindsOf:     make(map[*ir.Method][]uint8, a.cfg.Size.Methods),
 		activeRoots: make(map[int32]bool),
 		compIdx:     make(map[int32]int),
 	}

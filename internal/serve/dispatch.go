@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -172,7 +171,7 @@ func (s *Server) analyze(ctx context.Context, js *jobState) ([]byte, error) {
 			// program suspect (bodies were transplanted); discard the
 			// baseline and re-parse the submission for the full run.
 			s.pool.Drop(js.name)
-			fresh, err := appfile.Read(bytes.NewReader(raw))
+			fresh, err := appfile.Parse(raw)
 			if err != nil {
 				return nil, err
 			}

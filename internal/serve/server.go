@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -258,7 +257,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Parse (and validate) before accepting: a malformed submission is
 	// the client's error and must never become a queued job that fails
 	// server-side.
-	app, err := appfile.Read(bytes.NewReader(raw))
+	app, err := appfile.Parse(raw)
 	if err != nil {
 		s.cfg.Obs.Count("serve.malformed", 1)
 		httpError(w, http.StatusBadRequest, err.Error())

@@ -53,7 +53,7 @@ type AnalyzeFn func(ctx context.Context, name string, raw []byte) ([]byte, error
 // overridden per job in that case.
 func Analyzer(opts core.Options, absorb *obs.Trace) AnalyzeFn {
 	return func(ctx context.Context, name string, raw []byte) ([]byte, error) {
-		app, err := appfile.Read(bytes.NewReader(raw))
+		app, err := appfile.Parse(raw)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", name, err)
 		}
