@@ -384,9 +384,11 @@ func TestHandlerThreadLooperBinding(t *testing.T) {
 // statements of library code no harness reaches. The solver's tables
 // are sized by what the harnesses reach, so the padding may not raise
 // Analyze's allocation by more than a fixed margin; tables sized by the
-// program text allocated tens of megabytes more here.
+// program text allocated about 26 MB more here. The margin covers the
+// run-to-run spread of Go's map growth, which depends on the hash seed
+// (about 160 KB either way on this app).
 func TestAnalyzeAllocIgnoresUnreachedCode(t *testing.T) {
-	const margin = 256 << 10
+	const margin = 512 << 10
 	measure := func(padStmts int) uint64 {
 		row, _ := corpus.RowByName("NotePad")
 		app, _ := corpus.NamedApp(row)
@@ -404,7 +406,6 @@ func TestAnalyzeAllocIgnoresUnreachedCode(t *testing.T) {
 			}
 			app.Program.AddClass(cls)
 		}
-		app.Program.Finalize()
 		hs := harness.Generate(app)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
